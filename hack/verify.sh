@@ -2,9 +2,10 @@
 # verify.sh — the repo's full verification gate:
 #   gofmt cleanliness, go vet, the race-enabled test suite with the
 #   per-package coverage gate (hack/coverage_baseline.txt), the trace
-#   parser / request decoder / hierarchical allocator / cache snapshot
-#   fuzz smokes, the scheduler property suite under -race, the fleet
-#   smoke (sharded-tier race suites plus a zero-error 3-node load run),
+#   parser / request decoder / hierarchical allocator / fair-share
+#   solver / cache snapshot fuzz smokes, the scheduler property suite
+#   under -race, the fleet smoke (sharded-tier race suites plus a
+#   zero-error 3-node load run),
 #   the boedagbench ledger smoke, the perf regression
 #   gate (hack/bench_baseline.json, with an injected-slowdown
 #   self-check), the instrumentation-overhead guard (disabled-path
@@ -83,7 +84,7 @@ coverage_gate() {
 # fuzz_smoke runs the input-boundary fuzzers briefly: the seed corpus
 # plus a few seconds of mutation must finish without a crasher (the
 # never-panic contracts of the trace parser and the serve request
-# decoder).
+# decoder, and the fair-share solver's equilibrium invariants).
 fuzz_smoke() {
     echo "== trace parser fuzz smoke =="
     go test ./internal/calibrate -run '^$' \
@@ -97,6 +98,9 @@ fuzz_smoke() {
     echo "== hierarchical allocator fuzz smoke =="
     go test ./internal/sched -run '^$' \
         -fuzz '^FuzzHierarchyAllocate$' -fuzztime "${FUZZTIME:-5s}"
+    echo "== fair-share solver fuzz smoke =="
+    go test ./internal/fairshare -run '^$' \
+        -fuzz '^FuzzAllocate$' -fuzztime "${FUZZTIME:-5s}"
     echo "== cache snapshot reader fuzz smoke =="
     go test ./internal/cachestore -run '^$' \
         -fuzz '^FuzzReadSnapshot$' -fuzztime "${FUZZTIME:-5s}"

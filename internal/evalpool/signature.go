@@ -92,8 +92,8 @@ func (h *Hasher) Workflow(w *dag.Workflow) {
 // Profile folds every field of a job profile into the hash.
 func (h *Hasher) Profile(p workload.JobProfile) {
 	h.Str(p.Name)
-	h.Int(int64(p.InputBytes))
-	h.Int(int64(p.SplitBytes))
+	h.Float(float64(p.InputBytes))
+	h.Float(float64(p.SplitBytes))
 	h.Int(int64(p.ReduceTasks))
 	h.Float(p.MapSelectivity)
 	h.Float(p.ReduceSelectivity)
@@ -103,7 +103,7 @@ func (h *Hasher) Profile(p workload.JobProfile) {
 	h.Float(p.Compression.Ratio)
 	h.Float(p.Compression.CPUOverhead)
 	h.Int(int64(p.Replicas))
-	h.Int(int64(p.SortBufferBytes))
+	h.Float(float64(p.SortBufferBytes))
 	h.Int(int64(p.MapMemoryMB))
 	h.Int(int64(p.ReduceMemoryMB))
 	h.Int(int64(p.MapVCores))

@@ -44,11 +44,20 @@ func TestResultKeyStableAndSensitive(t *testing.T) {
 		}
 	}
 
-	// Workflow identity matters too: a changed profile knob must miss.
-	flow := sigFlow()
-	flow.Jobs[0].Profile.ReduceTasks *= 2
-	if k := ResultKey(spec, base, flow); k == k1 {
-		t.Error("changed reduce-task count collided with the base key")
+	// Workflow identity matters too: a changed profile knob must miss,
+	// down to a fraction of a byte (the byte fields are float64).
+	profiles := map[string]func(*workload.JobProfile){
+		"reduce tasks":         func(p *workload.JobProfile) { p.ReduceTasks *= 2 },
+		"sub-byte input":       func(p *workload.JobProfile) { p.InputBytes += 0.5 },
+		"sub-byte split":       func(p *workload.JobProfile) { p.SplitBytes += 0.5 },
+		"sub-byte sort buffer": func(p *workload.JobProfile) { p.SortBufferBytes += 0.5 },
+	}
+	for name, mutate := range profiles {
+		flow := sigFlow()
+		mutate(&flow.Jobs[0].Profile)
+		if k := ResultKey(spec, base, flow); k == k1 {
+			t.Errorf("changed %s collided with the base key", name)
+		}
 	}
 
 	// A different cluster must miss.

@@ -288,83 +288,3 @@ func TestEqualSplitRespectsCap(t *testing.T) {
 		t.Errorf("rate = %v, want cap 0.25", res.Rate[0])
 	}
 }
-
-// TestVecMatchesScalarOnSameProblem: AllocateVec on a 4-resource space
-// must agree with the fixed-width Allocate.
-func TestVecMatchesScalarOnSameProblem(t *testing.T) {
-	cp := caps(300, 200, 200, 125)
-	a := Consumer{Count: 6, MaxRate: 0.4, CapResource: cluster.CPU}
-	a.Demand[cluster.CPU] = 100 * mb
-	a.Demand[cluster.DiskRead] = 128 * mb
-	b := Consumer{Count: 4}
-	b.Demand[cluster.Network] = 80 * mb
-	b.Demand[cluster.DiskWrite] = 100 * mb
-
-	scalar := Allocate(cp, []Consumer{a, b})
-
-	vcaps := make([]float64, cluster.NumResources)
-	for r := 0; r < cluster.NumResources; r++ {
-		vcaps[r] = float64(cp[r])
-	}
-	toVec := func(c Consumer) VecConsumer {
-		v := VecConsumer{Count: c.Count, MaxRate: c.MaxRate, Demand: make([]float64, cluster.NumResources)}
-		copy(v.Demand, c.Demand[:])
-		return v
-	}
-	vec := AllocateVec(vcaps, []VecConsumer{toVec(a), toVec(b)})
-	for i := range scalar.Rate {
-		if math.Abs(vec.Rate[i]-scalar.Rate[i]) > 1e-9*math.Max(1, scalar.Rate[i]) {
-			t.Errorf("consumer %d: vec rate %v != scalar rate %v", i, vec.Rate[i], scalar.Rate[i])
-		}
-	}
-	for r := 0; r < cluster.NumResources; r++ {
-		if math.Abs(vec.Utilization[r]-scalar.Utilization[r]) > 1e-9 {
-			t.Errorf("resource %d: utilization %v != %v", r, vec.Utilization[r], scalar.Utilization[r])
-		}
-	}
-}
-
-func TestVecDisjointResourceGroupsIndependent(t *testing.T) {
-	// Two "nodes" with private CPU pools: each group saturates its own.
-	caps := []float64{100, 100}
-	a := VecConsumer{Count: 2, Demand: []float64{10, 0}}
-	b := VecConsumer{Count: 5, Demand: []float64{0, 10}}
-	res := AllocateVec(caps, []VecConsumer{a, b})
-	if math.Abs(res.Rate[0]-5) > 1e-9 { // 100/(2×10)
-		t.Errorf("group a rate %v, want 5", res.Rate[0])
-	}
-	if math.Abs(res.Rate[1]-2) > 1e-9 { // 100/(5×10)
-		t.Errorf("group b rate %v, want 2", res.Rate[1])
-	}
-	if res.Bottleneck[0] != 0 || res.Bottleneck[1] != 1 {
-		t.Errorf("bottlenecks = %v", res.Bottleneck)
-	}
-}
-
-func TestVecAbsentResourceAndCaps(t *testing.T) {
-	caps := []float64{0, 100}
-	dead := VecConsumer{Count: 1, Demand: []float64{1, 0}}
-	capped := VecConsumer{Count: 1, Demand: []float64{0, 1}, MaxRate: 3}
-	res := AllocateVec(caps, []VecConsumer{dead, capped})
-	if res.Rate[0] != 0 {
-		t.Errorf("dead consumer rate %v", res.Rate[0])
-	}
-	if res.Rate[1] != 3 {
-		t.Errorf("capped consumer rate %v, want its cap 3", res.Rate[1])
-	}
-	if res.Bottleneck[1] != -1 {
-		t.Errorf("cap bottleneck index = %d, want -1", res.Bottleneck[1])
-	}
-}
-
-func TestVecShortDemandSlices(t *testing.T) {
-	caps := []float64{50, 50, 50}
-	c := VecConsumer{Count: 1, Demand: []float64{10}} // shorter than caps
-	res := AllocateVec(caps, []VecConsumer{c})
-	if math.Abs(res.Rate[0]-5) > 1e-9 {
-		t.Errorf("rate = %v, want 5", res.Rate[0])
-	}
-	if res.Utilization[1] != 0 || res.Utilization[2] != 0 {
-		t.Error("unused resources show utilization")
-	}
-}

@@ -262,12 +262,7 @@ func (s *Simulator) Run(w *dag.Workflow) (*Result, error) {
 		stateTracker.observe(now, running)
 
 		// Allocate resources among working tasks and find the next event.
-		var util [cluster.NumResources]float64
-		if s.opt.NodeAware {
-			util = s.allocateNodeAware(running)
-		} else {
-			util = s.allocate(running)
-		}
+		util := s.allocate(running)
 		next := math.Inf(1)
 		for _, t := range running {
 			var eta float64
@@ -640,19 +635,31 @@ func (s *Simulator) preempt(j *simJob, n int, running *[]*simTask, now float64, 
 	return n
 }
 
-// allocate shares the cluster's resource pools among working tasks,
-// stores each task's progress rate and current bottleneck, and returns
-// the cluster-wide utilization per resource class.
+// allocate shares resource pools among working tasks, stores each
+// task's progress rate and current bottleneck, and returns the
+// cluster-wide utilization per resource class. Aggregate mode has one
+// pool holding the whole cluster; NodeAware mode has one pool per node,
+// holding that node's CPU, disks and NIC. No task demands two nodes'
+// pools, so each pool is an independent fair-share problem and the
+// utilization is the mean over the pools.
 func (s *Simulator) allocate(running []*simTask) [cluster.NumResources]float64 {
+	pools, capOf := 1, s.spec.TotalCapacity
+	if s.opt.NodeAware {
+		pools, capOf = s.spec.Nodes, s.spec.Node.Capacity
+	}
 	var caps [cluster.NumResources]units.Rate
 	for _, r := range cluster.Resources() {
-		caps[r] = s.spec.TotalCapacity(r)
+		caps[r] = capOf(r)
 	}
-	var consumers []fairshare.Consumer
-	var idx []int
+	consumers := make([][]fairshare.Consumer, pools)
+	idx := make([][]int, pools)
 	for i, t := range running {
 		if t.delay > 0 || t.done() {
 			continue
+		}
+		p := 0
+		if s.opt.NodeAware {
+			p = t.node
 		}
 		ss := t.subStages[t.cur]
 		c := fairshare.Consumer{Count: 1, CapResource: cluster.CPU}
@@ -669,18 +676,28 @@ func (s *Simulator) allocate(running []*simTask) [cluster.NumResources]float64 {
 				c.CapResource = op.Resource
 			}
 		}
-		consumers = append(consumers, c)
-		idx = append(idx, i)
+		consumers[p] = append(consumers[p], c)
+		idx[p] = append(idx[p], i)
 	}
-	if len(consumers) == 0 {
-		return [cluster.NumResources]float64{}
+	var util [cluster.NumResources]float64
+	var arena fairshare.Arena
+	for p := range consumers {
+		if len(consumers[p]) == 0 {
+			continue
+		}
+		alloc := arena.Allocate(caps, consumers[p])
+		for k, i := range idx[p] {
+			running[i].rate = alloc.Rate[k]
+			running[i].bottleneck = alloc.Bottleneck[k]
+		}
+		for r := range util {
+			util[r] += alloc.Utilization[r]
+		}
 	}
-	alloc := fairshare.Allocate(caps, consumers)
-	for k, i := range idx {
-		running[i].rate = alloc.Rate[k]
-		running[i].bottleneck = alloc.Bottleneck[k]
+	for r := range util {
+		util[r] /= float64(pools)
 	}
-	return alloc.Utilization
+	return util
 }
 
 // finishTask converts a completed task into its record and folds its
@@ -897,58 +914,4 @@ func leastLoaded(load []int) int {
 		}
 	}
 	return best
-}
-
-// allocateNodeAware shares per-node resource pools among working tasks:
-// a task's CPU and disk demands hit the pools of the node it is placed
-// on, its network demand hits that node's NIC. The resource index space
-// is node*NumResources + resource.
-func (s *Simulator) allocateNodeAware(running []*simTask) [cluster.NumResources]float64 {
-	nRes := s.spec.Nodes * cluster.NumResources
-	caps := make([]float64, nRes)
-	for node := 0; node < s.spec.Nodes; node++ {
-		for _, r := range cluster.Resources() {
-			caps[node*cluster.NumResources+int(r)] = float64(s.spec.Node.Capacity(r))
-		}
-	}
-	var consumers []fairshare.VecConsumer
-	var idx []int
-	for i, t := range running {
-		if t.delay > 0 || t.done() || t.node < 0 {
-			continue
-		}
-		ss := t.subStages[t.cur]
-		c := fairshare.VecConsumer{Count: 1, Demand: make([]float64, nRes)}
-		base := t.node * cluster.NumResources
-		for _, op := range ss.Ops {
-			c.Demand[base+int(op.Resource)] = float64(op.Bytes)
-			if op.Resource == cluster.CPU && op.Bytes > 0 {
-				c.MaxRate = float64(s.spec.Node.PerTaskCap(cluster.CPU)) / float64(op.Bytes)
-			}
-		}
-		consumers = append(consumers, c)
-		idx = append(idx, i)
-	}
-	var util [cluster.NumResources]float64
-	if len(consumers) == 0 {
-		return util
-	}
-	alloc := fairshare.AllocateVec(caps, consumers)
-	for k, i := range idx {
-		running[i].rate = alloc.Rate[k]
-		if bn := alloc.Bottleneck[k]; bn >= 0 {
-			running[i].bottleneck = cluster.Resource(bn % cluster.NumResources)
-		} else {
-			running[i].bottleneck = cluster.CPU
-		}
-	}
-	// Average each class over the nodes: the cluster-wide view.
-	for r := 0; r < cluster.NumResources; r++ {
-		sum := 0.0
-		for node := 0; node < s.spec.Nodes; node++ {
-			sum += alloc.Utilization[node*cluster.NumResources+r]
-		}
-		util[r] = sum / float64(s.spec.Nodes)
-	}
-	return util
 }

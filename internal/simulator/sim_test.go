@@ -426,3 +426,47 @@ func TestStateUtilizationRecorded(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeAwareNodesDoNotContend: in NodeAware mode each node's pools
+// are shared only by the tasks placed on it. Two disk-bound tasks on
+// node 0 and five on node 1 each split their own node's disks, while the
+// aggregate mode splits the cluster's disks among all seven.
+func TestNodeAwareNodesDoNotContend(t *testing.T) {
+	cl := spec()
+	cl.Nodes = 2
+	read := workload.SubStage{Ops: []workload.OpDemand{{Resource: cluster.DiskRead, Bytes: 100 * units.MB}}}
+	tasks := func() []*simTask {
+		var ts []*simTask
+		for i, node := range []int{0, 1, 0, 1, 1, 1, 1} {
+			ts = append(ts, &simTask{index: i, subStages: []workload.SubStage{read}, remaining: 1, node: node})
+		}
+		return ts
+	}
+	perNode := float64(cl.Node.Capacity(cluster.DiskRead)) / float64(100*units.MB)
+
+	running := tasks()
+	util := New(cl, Options{NodeAware: true}).allocate(running)
+	for _, task := range running {
+		want := perNode / 2 // node 0 holds two tasks
+		if task.node == 1 {
+			want = perNode / 5
+		}
+		if math.Abs(task.rate-want) > 1e-9*want {
+			t.Errorf("task %d on node %d: rate %v, want %v", task.index, task.node, task.rate, want)
+		}
+		if task.bottleneck != cluster.DiskRead {
+			t.Errorf("task %d bottleneck = %s, want disk read", task.index, task.bottleneck)
+		}
+	}
+	if got := util[cluster.DiskRead]; math.Abs(got-1) > 1e-9 {
+		t.Errorf("mean disk-read utilization = %v, want 1 (both nodes saturated)", got)
+	}
+
+	running = tasks()
+	New(cl, Options{}).allocate(running)
+	for _, task := range running {
+		if want := 2 * perNode / 7; math.Abs(task.rate-want) > 1e-9*want {
+			t.Errorf("aggregate task %d: rate %v, want %v", task.index, task.rate, want)
+		}
+	}
+}

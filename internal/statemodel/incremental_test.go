@@ -15,6 +15,7 @@ import (
 	"boedag/internal/obs"
 	"boedag/internal/statemodel"
 	"boedag/internal/synthdag"
+	"boedag/internal/units"
 	"boedag/internal/workload"
 )
 
@@ -288,5 +289,55 @@ func TestDisableIncrementalSolvesEverything(t *testing.T) {
 	}
 	if v := reg.Counter("est_dist_solves").Value(); v == 0 {
 		t.Error("from-scratch path reported zero solves")
+	}
+}
+
+// TestSubByteProfilesDoNotShareDists pins the dist-cache key's
+// resolution: the byte fields of a JobProfile are float64, and two
+// profiles whose inputs differ by under one byte are different
+// problems. Here two requests' Q1-j2-sort jobs read 416795.169 and
+// 416795.799 bytes; the second estimate on a shared scratch must still
+// give the cold-scratch makespan.
+func TestSubByteProfilesDoNotShareDists(t *testing.T) {
+	type request struct {
+		workflow           string
+		mode               statemodel.SkewMode
+		microGB, tpchScale float64
+	}
+	build := func(r request) (*dag.Workflow, *statemodel.Estimator) {
+		cfg := experiments.Default()
+		cfg.MicroInput = units.Bytes(r.microGB) * units.GB
+		cfg.TPCHScale = r.tpchScale
+		flow, err := experiments.BuildNamed(r.workflow, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return flow, newEstimator(r.mode, false)
+	}
+	first := request{"wc+q1", statemodel.NormalMode, 18.942935825658978, 53.43858028442959}
+	second := request{"q1", statemodel.MeanMode, 50.574006849338154, 53.438660995557925}
+
+	flow, est := build(second)
+	cold, err := est.EstimateWith(statemodel.NewScratch(), flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 74731382134 * time.Nanosecond
+	if cold.Makespan != want {
+		t.Fatalf("cold makespan = %d ns, want %d ns", cold.Makespan, want)
+	}
+
+	prevFlow, prevEst := build(first)
+	scratch := statemodel.NewScratch()
+	if _, err := prevEst.EstimateWith(scratch, prevFlow); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := est.EstimateWith(scratch, flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Makespan != want {
+		t.Errorf("makespan after a sub-byte neighbour on the same scratch = %d ns, want %d ns",
+			warm.Makespan, want)
 	}
 }

@@ -268,8 +268,8 @@ func envHash(elems []uint64, skip int) uint64 {
 func profileFingerprint(p workload.JobProfile) uint64 {
 	h := uint64(fnvOffset)
 	h = mixStr(h, p.Name)
-	h = mix64(h, uint64(p.InputBytes))
-	h = mix64(h, uint64(p.SplitBytes))
+	h = mixFloat(h, float64(p.InputBytes))
+	h = mixFloat(h, float64(p.SplitBytes))
 	h = mix64(h, uint64(p.ReduceTasks))
 	h = mixFloat(h, p.MapSelectivity)
 	h = mixFloat(h, p.ReduceSelectivity)
@@ -283,7 +283,7 @@ func profileFingerprint(p workload.JobProfile) uint64 {
 	h = mixFloat(h, p.Compression.Ratio)
 	h = mixFloat(h, p.Compression.CPUOverhead)
 	h = mix64(h, uint64(p.Replicas))
-	h = mix64(h, uint64(p.SortBufferBytes))
+	h = mixFloat(h, float64(p.SortBufferBytes))
 	h = mix64(h, uint64(p.MapMemoryMB))
 	h = mix64(h, uint64(p.ReduceMemoryMB))
 	h = mix64(h, uint64(p.MapVCores))
